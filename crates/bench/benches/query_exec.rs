@@ -10,7 +10,7 @@
 //!   bar is ≥ 2x on the depth-2 cascade.
 //! * `query_exec/nn*` — the real-NN backend end to end on a store of real
 //!   raster frames (fetch → pooled decode → [transcode] → standardize →
-//!   `infer_batch` → thresholds), both in the ONGOING layout (exact
+//!   batched inference → thresholds), both in the ONGOING layout (exact
 //!   representations stored) and through the transcode fallback (only the
 //!   full frame stored), plus isolated per-stage lines so the end-to-end
 //!   number decomposes in `BENCH_baseline.json`. A per-stage wall-clock
@@ -20,7 +20,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use tahoma_core::evaluator::CostContext;
-use tahoma_core::exec::{BatchScorer, NnBatchScorer, SurrogateBatchScorer};
+use tahoma_core::exec::{
+    BatchScorer, NnSessionScratch, SharedModelZoo, SharedNnScorer, SurrogateBatchScorer,
+};
 use tahoma_core::query::{Corpus, CorpusItem, QueryProcessor, SurrogateItemScorer};
 use tahoma_core::thresholds::{calibrate_all, DecisionThresholds, ThresholdTable};
 use tahoma_core::{Cascade, VectorizedExecutor, PAPER_PRECISION_SETTINGS};
@@ -276,13 +278,14 @@ fn bench_nn_exec(c: &mut Criterion) {
     for item in &corpus.items {
         store.ingest(item.id, &frame(item.id, 120)).unwrap();
     }
-    let mut scorer = NnBatchScorer::new(&store);
-    scorer.register(ModelId(0), rep0, build_model(arch0, rep0, 11));
-    scorer.register(ModelId(1), rep1, build_model(arch1, rep1, 12));
+    let mut zoo = SharedModelZoo::new().with_source(source);
+    zoo.register(ModelId(0), rep0, build_model(arch0, rep0, 11));
+    zoo.register(ModelId(1), rep1, build_model(arch1, rep1, 12));
+    let mut scratch = NnSessionScratch::new();
 
     // Calibrate level-0 cuts from the live score distribution.
     let mut level0_scores = Vec::new();
-    scorer.score_batch(
+    SharedNnScorer::new(&store, &zoo, &mut scratch).score_batch(
         ModelId(0),
         tahoma_core::exec::ScorePack::standalone(&items),
         &mut level0_scores,
@@ -293,6 +296,7 @@ fn bench_nn_exec(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("query_exec/nn");
     group.bench_function(format!("end_to_end_direct_{NN_N}"), |b| {
+        let mut scorer = SharedNnScorer::new(&store, &zoo, &mut scratch);
         b.iter(|| {
             black_box(
                 executor
@@ -302,11 +306,16 @@ fn bench_nn_exec(c: &mut Criterion) {
         })
     });
     // One accounted run for the per-stage table.
-    scorer.reset_stats();
+    scratch.reset_stats();
     let rel = executor
-        .run_cascade_batched(ObjectKind::Fence, cascade, &items, &mut scorer)
+        .run_cascade_batched(
+            ObjectKind::Fence,
+            cascade,
+            &items,
+            &mut SharedNnScorer::new(&store, &zoo, &mut scratch),
+        )
         .unwrap();
-    let stats = scorer.stats();
+    let stats = scratch.stats();
     eprintln!(
         "query_exec/nn end-to-end (direct, {} items, {} early-decided): \
          fetch+decode {:.3} ms, transcode {:.3} ms, standardize {:.3} ms, infer {:.3} ms",
@@ -317,7 +326,6 @@ fn bench_nn_exec(c: &mut Criterion) {
         stats.standardize_s * 1e3,
         stats.infer_s * 1e3,
     );
-    drop(scorer);
 
     // Transcode fallback: only the full 120px frame is stored; every level
     // input is derived through the engine at query time.
@@ -325,21 +333,25 @@ fn bench_nn_exec(c: &mut Criterion) {
     for item in &corpus.items {
         source_store.ingest(item.id, &frame(item.id, 120)).unwrap();
     }
-    let mut fallback = NnBatchScorer::new(&source_store).with_source(source);
-    fallback.register(ModelId(0), rep0, build_model(arch0, rep0, 11));
-    fallback.register(ModelId(1), rep1, build_model(arch1, rep1, 12));
+    let mut fallback = NnSessionScratch::new();
     group.bench_function(format!("end_to_end_transcode_{NN_N}"), |b| {
+        let mut scorer = SharedNnScorer::new(&source_store, &zoo, &mut fallback);
         b.iter(|| {
             black_box(
                 executor
-                    .run_cascade_batched(ObjectKind::Fence, cascade, &items, &mut fallback)
+                    .run_cascade_batched(ObjectKind::Fence, cascade, &items, &mut scorer)
                     .unwrap(),
             )
         })
     });
     fallback.reset_stats();
     executor
-        .run_cascade_batched(ObjectKind::Fence, cascade, &items, &mut fallback)
+        .run_cascade_batched(
+            ObjectKind::Fence,
+            cascade,
+            &items,
+            &mut SharedNnScorer::new(&source_store, &zoo, &mut fallback),
+        )
         .unwrap();
     let stats = fallback.stats();
     eprintln!(

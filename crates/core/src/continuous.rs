@@ -45,7 +45,9 @@
 //! so a serving layer can route each kind to its own backend (surrogate
 //! tables, shared NN zoo, coalescing broker), while
 //! [`ContinuousExecutor::tick_batched`] is the single-backend convenience
-//! used by tests and benches. [`ContinuousExecutor::rescan`] re-evaluates
+//! used by tests and benches. Entrants run through
+//! [`evaluate_conjunction`], the survivor-index driver the serving layer's
+//! ad-hoc queries use too. [`ContinuousExecutor::rescan`] re-evaluates
 //! the current window from scratch through the same seam; the equivalence
 //! `rescan() == matched()` after every tick is this module's correctness
 //! bar, enforced by `tests/continuous_proptests.rs` against the reference
@@ -53,7 +55,7 @@
 
 use crate::cascade::Cascade;
 use crate::error::CoreError;
-use crate::exec::{BatchScorer, VectorizedExecutor};
+use crate::exec::{evaluate_conjunction, BatchScorer, VectorizedExecutor};
 use crate::query::{CorpusItem, Query};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -130,7 +132,8 @@ struct WindowEntry {
 #[derive(Debug)]
 pub struct ContinuousExecutor {
     query: Query,
-    cascades: BTreeMap<ObjectKind, Cascade>,
+    /// Each content predicate with its pinned cascade, in query order.
+    predicates: Vec<(ObjectKind, Cascade)>,
     window: WindowSpec,
     /// Arrivals not yet consumed by a tick, FIFO; front position is
     /// `next_pos - pending.len()`.
@@ -154,17 +157,20 @@ impl ContinuousExecutor {
         cascades: BTreeMap<ObjectKind, Cascade>,
         window: WindowSpec,
     ) -> Result<ContinuousExecutor, CoreError> {
-        for kind in &query.content {
-            if !cascades.contains_key(kind) {
-                return Err(CoreError::Window(format!(
+        let predicates = query
+            .content
+            .iter()
+            .map(|kind| match cascades.get(kind) {
+                Some(&cascade) => Ok((*kind, cascade)),
+                None => Err(CoreError::Window(format!(
                     "no cascade registered for content predicate '{}'",
                     kind.name()
-                )));
-            }
-        }
+                ))),
+            })
+            .collect::<Result<_, _>>()?;
         Ok(ContinuousExecutor {
             query,
-            cascades,
+            predicates,
             window,
             pending: VecDeque::new(),
             next_pos: 0,
@@ -237,7 +243,7 @@ impl ContinuousExecutor {
     /// rescan guarantee to hold (every scorer in this workspace is; see
     /// the module docs for the one NN batch-shape caveat and the pinned
     /// accumulation path that removes it).
-    pub fn tick<E>(&mut self, mut eval: E) -> Result<TickDeltas, CoreError>
+    pub fn tick<E>(&mut self, eval: E) -> Result<TickDeltas, CoreError>
     where
         E: FnMut(ObjectKind, Cascade, &[&CorpusItem]) -> Result<Vec<bool>, CoreError>,
     {
@@ -276,25 +282,33 @@ impl ContinuousExecutor {
         // `?` — leaves the executor bit-for-bit untouched, so the serve
         // layer can retry the same tick idempotently (RELIABILITY.md).
         let items: Vec<&CorpusItem> = self.pending.iter().skip(n_gap).take(n_entrants).collect();
-        let (passes, scored) = evaluate(&self.query, &self.cascades, &items, &mut eval)?;
+        let conj = evaluate_conjunction(
+            &self.query.metadata,
+            self.predicates.iter().copied(),
+            &items,
+            eval,
+        )?;
         drop(items);
 
         // Eval succeeded: commit the slide.
         self.entries.drain(..n_expired);
         self.pending.drain(..n_gap);
         let mut added = Vec::new();
-        for (k, pass) in passes.iter().enumerate() {
+        let mut survivors = conj.survivors.iter().peekable();
+        for k in 0..n_entrants {
             let item = self.pending.pop_front().expect("entrants counted above");
-            if *pass {
+            let passes = survivors.next_if_eq(&&k).is_some();
+            if passes {
                 added.push(item.id);
             }
             self.entries.push_back(WindowEntry {
                 pos: entrant_pos + k as u64,
                 item,
-                passes: *pass,
+                passes,
             });
         }
         let entered = n_entrants;
+        let scored = conj.scored;
 
         self.end = end;
         self.ticks += 1;
@@ -330,18 +344,18 @@ impl ContinuousExecutor {
     /// decisions. Returns matched ids in arrival order. This is the
     /// RANGE-sized cost the incremental path avoids — and the equivalence
     /// oracle: `rescan() == matched()` always.
-    pub fn rescan<E>(&self, mut eval: E) -> Result<Vec<u64>, CoreError>
+    pub fn rescan<E>(&self, eval: E) -> Result<Vec<u64>, CoreError>
     where
         E: FnMut(ObjectKind, Cascade, &[&CorpusItem]) -> Result<Vec<bool>, CoreError>,
     {
         let items: Vec<&CorpusItem> = self.entries.iter().map(|e| &e.item).collect();
-        let (passes, _) = evaluate(&self.query, &self.cascades, &items, &mut eval)?;
-        Ok(items
-            .iter()
-            .zip(&passes)
-            .filter(|(_, &p)| p)
-            .map(|(i, _)| i.id)
-            .collect())
+        let conj = evaluate_conjunction(
+            &self.query.metadata,
+            self.predicates.iter().copied(),
+            &items,
+            eval,
+        )?;
+        Ok(conj.survivors.iter().map(|&i| items[i].id).collect())
     }
 
     /// [`ContinuousExecutor::rescan`] through one executor + scorer.
@@ -355,53 +369,6 @@ impl ContinuousExecutor {
             Ok(rel.rows.iter().map(|r| r.value).collect())
         })
     }
-}
-
-/// Evaluate `items` against the query: metadata filter, then each content
-/// cascade over the surviving pack. Returns one pass flag per input item
-/// plus the number of cascade rows scored.
-fn evaluate<E>(
-    query: &Query,
-    cascades: &BTreeMap<ObjectKind, Cascade>,
-    items: &[&CorpusItem],
-    eval: &mut E,
-) -> Result<(Vec<bool>, usize), CoreError>
-where
-    E: FnMut(ObjectKind, Cascade, &[&CorpusItem]) -> Result<Vec<bool>, CoreError>,
-{
-    let mut survivors: Vec<usize> = (0..items.len())
-        .filter(|&i| query.metadata.iter().all(|p| p.holds(items[i])))
-        .collect();
-    let mut scored = 0usize;
-    for &kind in &query.content {
-        if survivors.is_empty() {
-            break;
-        }
-        let cascade = *cascades
-            .get(&kind)
-            .ok_or_else(|| CoreError::Window(format!("no cascade for '{}'", kind.name())))?;
-        let pack: Vec<&CorpusItem> = survivors.iter().map(|&i| items[i]).collect();
-        let passes = eval(kind, cascade, &pack)?;
-        if passes.len() != pack.len() {
-            return Err(CoreError::Window(format!(
-                "eval returned {} decisions for a pack of {}",
-                passes.len(),
-                pack.len()
-            )));
-        }
-        scored += pack.len();
-        survivors = survivors
-            .into_iter()
-            .zip(&passes)
-            .filter(|(_, &p)| p)
-            .map(|(i, _)| i)
-            .collect();
-    }
-    let mut flags = vec![false; items.len()];
-    for i in survivors {
-        flags[i] = true;
-    }
-    Ok((flags, scored))
 }
 
 #[cfg(test)]
@@ -547,7 +514,12 @@ mod tests {
             };
             let qp = QueryProcessor::new(&repo, &thresholds, &cost);
             let reference = qp
-                .execute(cx.query(), &window_corpus, &cx.cascades, &scorer)
+                .execute(
+                    cx.query(),
+                    &window_corpus,
+                    &cx.predicates.iter().copied().collect(),
+                    &scorer,
+                )
                 .expect("reference executes");
             assert_eq!(reference.matched_ids, matched, "tick {tick} vs reference");
             prev = matched;

@@ -18,7 +18,9 @@ pub enum CoreError {
     /// A query referenced an unknown metadata field.
     UnknownField(String),
     /// A continuous-query window was mis-specified or ticked ahead of its
-    /// arrivals (see [`crate::continuous`]).
+    /// arrivals (see [`crate::continuous`]), or a conjunction's pack
+    /// evaluation returned the wrong number of decisions
+    /// ([`crate::exec::evaluate_conjunction`]).
     Window(String),
 }
 

@@ -33,23 +33,31 @@
 //!   of the item loop (one [`tahoma_zoo::surrogate::VariantStream`] per
 //!   cascade level, not per (item, level) — the same hoist
 //!   `SurrogateScorer::score_population` does for repository building),
-//!   and [`NnBatchScorer`] serves *real* CNN inference: encoded frames are
-//!   fetched from a [`RepresentationStore`] and decoded into pooled
-//!   buffers, each level's input representation is transcoded through a
-//!   shared [`TranscodeEngine`], and the pack is scored in one
-//!   `Sequential::infer_batch` GEMM pass. A representation shared by
+//!   and [`SharedNnScorer`] serves *real* CNN inference: encoded frames
+//!   are fetched from a [`RepresentationStore`] and decoded into pooled
+//!   buffers, each level's input representation is transcoded when the
+//!   store does not hold it, and the pack is scored in one batched GEMM
+//!   pass against a [`SharedModelZoo`]. A representation shared by
 //!   several cascade levels is materialized **once per item**, not once
 //!   per (item, level) — the physical-representation reuse §V-B's lattice
 //!   plans and the cost model already prices via `rep_marginal_s`, applied
-//!   to live pixels instead of simulated seconds.
+//!   to live pixels instead of simulated seconds. The store and zoo are
+//!   only borrowed shared; every mutable buffer lives in a per-query
+//!   [`NnSessionScratch`], so one zoo serves any number of concurrent
+//!   queries.
+//! * **Conjunction driver** ([`evaluate_conjunction`]): a metadata filter
+//!   followed by content predicates over a shrinking selection vector of
+//!   survivor indices. It is generic over how one predicate's pack is
+//!   scored, so standing-query ticks and the serving layer's ad-hoc
+//!   queries share one narrowing loop.
 
 use crate::cascade::{Cascade, MAX_LEVELS};
 use crate::error::CoreError;
 use crate::evaluator::{CostContext, Outcome};
 use crate::planner::{order_indices, PlannedPredicate};
 use crate::query::{
-    Corpus, CorpusItem, ItemScorer, PredicateRelation, Query, QueryResult, RelationRow,
-    CORPUS_SCORE_SALT,
+    Corpus, CorpusItem, ItemScorer, MetaPredicate, PredicateRelation, Query, QueryResult,
+    RelationRow, CORPUS_SCORE_SALT,
 };
 use crate::thresholds::ThresholdTable;
 use std::collections::{BTreeMap, HashMap};
@@ -227,7 +235,8 @@ pub struct NnStageStats {
     /// Per-image standardization (zero mean / unit variance), the model
     /// input discipline shared with the training path.
     pub standardize_s: f64,
-    /// Batched CNN inference (`Sequential::infer_batch`).
+    /// Batched CNN inference ([`SharedModelZoo::infer`] or the [`InferDispatch`]
+    /// it was routed through).
     pub infer_s: f64,
     /// `score_batch` calls served.
     pub batches: u64,
@@ -242,242 +251,21 @@ pub struct NnStageStats {
     pub degraded_fetches: u64,
 }
 
+// ---------------------------------------------------------------------------
+// Real-NN scoring
+// ---------------------------------------------------------------------------
+
 struct NnModel {
     rep: Representation,
     model: Sequential,
 }
 
-/// Real-CNN batch scorer: store fetch → pooled decode → transcode →
-/// standardize → `infer_batch`.
-///
-/// Per pack item the backend obtains the model's input representation
-/// either directly from the [`RepresentationStore`] (the ONGOING layout:
-/// the representation was materialized at ingest) or by fetching a stored
-/// *source* representation and transcoding through the engine (the
-/// fallback when only the full frame is stored — the source representation
-/// must be RGB). Inputs are standardized per image, matching the training
-/// path's input discipline, then the whole pack runs through one batched
-/// GEMM inference pass.
-///
-/// Representations used by more than one level of the current cascade are
-/// cached per item for the duration of the cascade run, so the §V-B
-/// sharing discount (`rep_marginal_s` charged once per distinct
-/// representation) holds for the live pixel work too. Decode and
-/// standardize buffers recycle through the scorer's own engine pool (the
-/// store is borrowed shared and never touched mutably); steady-state
-/// scoring performs no large allocations outside the cache inserts for
-/// shared representations.
-///
-/// Scores depend on the GEMM batch shape only in final-ulp rounding (the
-/// batch-1 dense path uses the matvec kernel's fold tree); decisions are
-/// deterministic for a fixed pack sequence, which the executor's
-/// level-major walk fixes.
-///
-/// # Panics
-///
-/// `score_batch` panics when a cascade level's model was never
-/// [`NnBatchScorer::register`]ed, or when an item's representation is
-/// absent (or quarantined) from the store and no usable source
-/// representation was configured — deployment-configuration errors, not
-/// data-dependent conditions. A corrupt or persistently unreadable stored
-/// blob does *not* panic: the store quarantines it and the scorer degrades
-/// to the transcode-from-source path (see RELIABILITY.md).
-pub struct NnBatchScorer<'a> {
-    store: &'a RepresentationStore,
-    models: HashMap<u32, NnModel>,
-    engine: TranscodeEngine,
-    source_rep: Option<Representation>,
-    shared: Vec<Representation>,
-    cache: HashMap<(u64, Representation), Vec<f32>>,
-    input: Vec<f32>,
-    stats: NnStageStats,
-}
-
-impl<'a> NnBatchScorer<'a> {
-    /// Create a scorer over a store (borrowed shared: every store read
-    /// goes through the caller-engine fetch path, so scorers can share a
-    /// store). Register models before executing.
-    pub fn new(store: &'a RepresentationStore) -> NnBatchScorer<'a> {
-        NnBatchScorer {
-            store,
-            models: HashMap::new(),
-            engine: TranscodeEngine::new(),
-            source_rep: None,
-            shared: Vec::new(),
-            cache: HashMap::new(),
-            input: Vec::new(),
-            stats: NnStageStats::default(),
-        }
-    }
-
-    /// Configure the stored source representation to transcode from when a
-    /// model's exact input representation is not in the store. Must be RGB
-    /// (transcoding derives color planes from it).
-    pub fn with_source(mut self, rep: Representation) -> NnBatchScorer<'a> {
-        self.source_rep = Some(rep);
-        self
-    }
-
-    /// Register the network serving `id`, consuming `rep` as its input.
-    pub fn register(&mut self, id: ModelId, rep: Representation, model: Sequential) {
-        self.models.insert(id.0, NnModel { rep, model });
-    }
-
-    /// Register a whole repository's networks, aligned with `repo.entries`
-    /// (the shape `build_real_repository_keeping_models` returns).
-    pub fn register_repository(&mut self, repo: &ModelRepository, models: Vec<Sequential>) {
-        assert_eq!(repo.len(), models.len(), "one network per repository entry");
-        for (entry, model) in repo.entries.iter().zip(models) {
-            self.register(entry.variant.id, entry.variant.input, model);
-        }
-    }
-
-    /// Per-stage timings accumulated since construction (or the last
-    /// [`NnBatchScorer::reset_stats`]).
-    pub fn stats(&self) -> NnStageStats {
-        self.stats
-    }
-
-    /// Zero the stage accounting.
-    pub fn reset_stats(&mut self) {
-        self.stats = NnStageStats::default();
-    }
-
-    /// Standardized input pixels for one (item, representation): direct
-    /// pooled fetch when the store holds the representation, otherwise
-    /// fetch-source + transcode.
-    fn materialize_input(
-        &mut self,
-        item: &CorpusItem,
-        rep: Representation,
-    ) -> tahoma_imagery::Image {
-        let t0 = Instant::now();
-        let direct = self.store.fetch_classified(item.id, rep, &mut self.engine);
-        self.stats.fetch_decode_s += t0.elapsed().as_secs_f64();
-        // Every buffer — decoded fetches and transcode outputs alike —
-        // comes from and returns to the scorer's own engine pool; the
-        // store itself is only borrowed shared.
-        let img = match direct {
-            Fetched::Hit(img) => img,
-            Fetched::Absent | Fetched::Quarantined => {
-                // Quarantined records degrade to the same source-transcode
-                // fallback as never-materialized ones — same source pixels,
-                // same transcode, bitwise the same input — but are counted
-                // so the serve layer can surface the degradation.
-                if matches!(direct, Fetched::Quarantined) {
-                    self.stats.degraded_fetches += 1;
-                }
-                let src_rep = self.source_rep.unwrap_or_else(|| {
-                    panic!(
-                        "item {} has no stored {rep} and no source representation is configured",
-                        item.id
-                    )
-                });
-                let t1 = Instant::now();
-                // The pinned path retries harder and never quarantines:
-                // losing the source would make the degradation permanent.
-                let src = self
-                    .store
-                    .fetch_pinned(item.id, src_rep, &mut self.engine)
-                    .unwrap_or_else(|| panic!("item {} has no stored source {src_rep}", item.id))
-                    .unwrap_or_else(|e| panic!("item {} source {src_rep}: {e}", item.id));
-                self.stats.fetch_decode_s += t1.elapsed().as_secs_f64();
-                let t2 = Instant::now();
-                // Replay the ingest-time lattice plan, not a direct
-                // transcode: multi-hop plans make the two differ, and the
-                // degraded input must be bitwise what was stored.
-                let out = self
-                    .store
-                    .rederive(&src, rep)
-                    .unwrap_or_else(|e| panic!("item {} transcode to {rep}: {e}", item.id));
-                self.stats.transcode_s += t2.elapsed().as_secs_f64();
-                self.engine.recycle([src]);
-                out
-            }
-        };
-        let t3 = Instant::now();
-        let standardized = self.engine.standardize(&img);
-        self.stats.standardize_s += t3.elapsed().as_secs_f64();
-        self.engine.recycle([img]);
-        standardized
-    }
-}
-
-impl BatchScorer for NnBatchScorer<'_> {
-    fn begin_cascade(&mut self, cascade: &Cascade, _items: &[&CorpusItem]) {
-        // The shared-representation cache is scoped to one cascade run:
-        // its hits are exactly the level pairs the cost model discounts.
-        // Its standardized buffers came out of the engine pool; hand them
-        // back so repeated cascade runs stay allocation-free.
-        for (_, data) in self.cache.drain() {
-            self.engine.recycle_buffer(data);
-        }
-        self.shared.clear();
-        let mut reps: Vec<Representation> = Vec::with_capacity(cascade.depth());
-        for l in 0..cascade.depth() {
-            if let Some(m) = self.models.get(&(cascade.model_at(l) as u32)) {
-                reps.push(m.rep);
-            }
-        }
-        for (i, &rep) in reps.iter().enumerate() {
-            if reps[..i].contains(&rep) && !self.shared.contains(&rep) {
-                self.shared.push(rep);
-            }
-        }
-    }
-
-    fn score_batch(&mut self, model: ModelId, pack: ScorePack<'_>, out: &mut Vec<f32>) {
-        let items = pack.items;
-        let rep = self
-            .models
-            .get(&model.0)
-            .unwrap_or_else(|| panic!("model m{} is not registered", model.0))
-            .rep;
-        let share = self.shared.contains(&rep);
-        self.input.clear();
-        self.input.reserve(items.len() * rep.value_count());
-        let mut input = std::mem::take(&mut self.input);
-        for item in items {
-            if share {
-                if let Some(cached) = self.cache.get(&(item.id, rep)) {
-                    self.stats.cache_hits += 1;
-                    input.extend_from_slice(cached);
-                    continue;
-                }
-            }
-            let standardized = self.materialize_input(item, rep);
-            input.extend_from_slice(standardized.data());
-            if share {
-                self.cache.insert((item.id, rep), standardized.into_data());
-            } else {
-                self.engine.recycle([standardized]);
-            }
-        }
-        // Second lookup because `materialize_input` needed `&mut self` in
-        // between; the map itself is never mutated after registration.
-        let entry = self
-            .models
-            .get_mut(&model.0)
-            .unwrap_or_else(|| panic!("model m{} is not registered", model.0));
-        let t = Instant::now();
-        out.extend(entry.model.predict_proba_batch(&input, items.len()));
-        self.stats.infer_s += t.elapsed().as_secs_f64();
-        self.stats.batches += 1;
-        self.stats.items_scored += items.len() as u64;
-        self.input = input;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared (concurrent) real-NN scoring
-// ---------------------------------------------------------------------------
-
-/// Immutable model zoo for concurrent serving: the same (model id →
-/// network, input representation) table [`NnBatchScorer`] keeps, but built
-/// once and then only ever borrowed shared. Every inference goes through
-/// `Sequential::predict_proba_shared`, so any number of query sessions can
-/// score against one zoo simultaneously, each bringing its own
-/// [`tahoma_nn::InferScratch`].
+/// The real-NN model table: model id → (network, input representation),
+/// plus the stored source representation to transcode from when a model's
+/// exact input is not in the store. Built once, then only ever borrowed
+/// shared: every inference goes through `Sequential::predict_proba_shared`,
+/// so any number of query sessions can score against one zoo
+/// simultaneously, each bringing its own [`tahoma_nn::InferScratch`].
 pub struct SharedModelZoo {
     models: HashMap<u32, NnModel>,
     source_rep: Option<Representation>,
@@ -562,11 +350,13 @@ pub trait InferDispatch: Sync {
     fn infer(&self, model: ModelId, rows: &[f32], n: usize) -> Vec<f32>;
 }
 
-/// Per-query mutable state for [`SharedNnScorer`] — everything that was a
-/// field of [`NnBatchScorer`] but is written during scoring lives here, so
-/// the store/zoo stay shared. Sessions are cheap to create and profitable
-/// to reuse (the engine's buffer pool and the GEMM scratch warm up), which
-/// is why the serving layer checks them out of a pool per query.
+/// Per-query mutable state for [`SharedNnScorer`]: the transcode engine
+/// and its buffer pool, the inference scratch, the per-cascade
+/// shared-representation cache, and the stage accounting. Everything
+/// written during scoring lives here, so the store and zoo stay shared.
+/// Sessions are cheap to create and profitable to reuse (the engine's
+/// buffer pool and the GEMM scratch warm up), which is why the serving
+/// layer checks them out of a pool per query.
 #[derive(Default)]
 pub struct NnSessionScratch {
     engine: TranscodeEngine,
@@ -601,13 +391,26 @@ impl NnSessionScratch {
     }
 }
 
-/// Concurrent counterpart of [`NnBatchScorer`]: same fetch → decode →
-/// transcode → standardize → batched-GEMM pipeline, same per-cascade
-/// shared-representation cache, but the store and model zoo are borrowed
-/// *shared* — every mutation happens in the query's own
-/// [`NnSessionScratch`]. Optionally routes inference through an
-/// [`InferDispatch`] so the serving layer can coalesce packs from
-/// concurrent queries into one GEMM call.
+/// Real-CNN batch scorer: store fetch → pooled decode → transcode →
+/// standardize → batched GEMM inference.
+///
+/// Per pack item the scorer obtains the model's input representation
+/// either directly from the [`RepresentationStore`] (the ONGOING layout:
+/// the representation was materialized at ingest) or by fetching the
+/// zoo's stored *source* representation and replaying the ingest-time
+/// transcode plan (the fallback when only the full frame is stored). Inputs
+/// are standardized per image, matching the training path's input
+/// discipline, then the whole pack runs through one inference call —
+/// locally, or through an [`InferDispatch`] so the serving layer can
+/// coalesce packs from concurrent queries into one GEMM call.
+///
+/// Representations used by more than one level of the current cascade are
+/// cached per item for the duration of the cascade run, so the §V-B
+/// sharing discount (`rep_marginal_s` charged once per distinct
+/// representation) holds for the live pixel work too. The store and zoo
+/// are borrowed shared; every mutation happens in the query's own
+/// [`NnSessionScratch`], whose engine pool recycles the decode and
+/// standardize buffers.
 ///
 /// Scoring is bitwise identical to a serial run regardless of concurrency
 /// or coalescing: inputs are standardized per item (shape-independent),
@@ -615,9 +418,13 @@ impl NnSessionScratch {
 ///
 /// # Panics
 ///
-/// Same configuration panics as [`NnBatchScorer`]: unregistered cascade
-/// model, or item missing/quarantined with no usable source
-/// representation. Corrupt blobs quarantine and degrade instead.
+/// `score_batch` panics when a cascade level's model is not registered in
+/// the zoo, or when an item's representation is absent (or quarantined)
+/// from the store and no usable source representation is configured —
+/// deployment-configuration errors, not data-dependent conditions. A
+/// corrupt or persistently unreadable stored blob does *not* panic: the
+/// store quarantines it and the scorer degrades to the
+/// transcode-from-source path (see RELIABILITY.md).
 pub struct SharedNnScorer<'a> {
     store: &'a RepresentationStore,
     zoo: &'a SharedModelZoo,
@@ -647,9 +454,10 @@ impl<'a> SharedNnScorer<'a> {
         self
     }
 
-    /// Standardized input pixels for one (item, representation) — the
-    /// shared-borrow version of [`NnBatchScorer::materialize_input`], with
-    /// every buffer drawn from and recycled to the session's own engine.
+    /// Standardized input pixels for one (item, representation): direct
+    /// pooled fetch when the store holds the representation, otherwise
+    /// fetch-source + transcode. Every buffer is drawn from and recycled
+    /// to the session's own engine.
     fn materialize_input(
         &mut self,
         item: &CorpusItem,
@@ -704,6 +512,10 @@ impl<'a> SharedNnScorer<'a> {
 
 impl BatchScorer for SharedNnScorer<'_> {
     fn begin_cascade(&mut self, cascade: &Cascade, _items: &[&CorpusItem]) {
+        // The shared-representation cache is scoped to one cascade run:
+        // its hits are exactly the level pairs the cost model discounts.
+        // Its standardized buffers came out of the engine pool; hand them
+        // back so repeated cascade runs stay allocation-free.
         let sc = &mut *self.scratch;
         for (_, data) in sc.cache.drain() {
             sc.engine.recycle_buffer(data);
@@ -852,6 +664,75 @@ pub fn run_level_major(
     }
     debug_assert!(undecided.is_empty(), "terminal level always decides");
     decided
+}
+
+/// What [`evaluate_conjunction`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Conjunction {
+    /// Indices into the evaluated item slice of the items satisfying every
+    /// predicate, ascending.
+    pub survivors: Vec<usize>,
+    /// Items that passed the metadata filter.
+    pub metadata_survivors: usize,
+    /// Cascade rows scored: the sum of the pack sizes handed to `eval`.
+    pub scored: usize,
+}
+
+/// Evaluate a conjunction over `items`: the metadata filter once, then
+/// each content predicate, in the given order, over a shrinking selection
+/// vector of survivor indices. `eval` receives a predicate's kind, its
+/// cascade and the pack of current survivors (in item order), and returns
+/// one pass flag per pack item; items it fails never reach a later
+/// predicate, and evaluation stops as soon as no survivor is left.
+///
+/// Because every backend's decisions are deterministic per (model, item),
+/// the surviving set is the same for any predicate order; the order only
+/// decides which cascades see the smaller packs. Errors from `eval` are
+/// returned as-is, so callers keep their own error type (the serving
+/// layer's deadline stop stays typed). An `eval` that returns the wrong
+/// number of flags is reported as [`CoreError::Window`].
+pub fn evaluate_conjunction<E: From<CoreError>>(
+    metadata: &[MetaPredicate],
+    predicates: impl IntoIterator<Item = (ObjectKind, Cascade)>,
+    items: &[&CorpusItem],
+    mut eval: impl FnMut(ObjectKind, Cascade, &[&CorpusItem]) -> Result<Vec<bool>, E>,
+) -> Result<Conjunction, E> {
+    let mut survivors: Vec<usize> = (0..items.len())
+        .filter(|&i| metadata.iter().all(|p| p.holds(items[i])))
+        .collect();
+    let metadata_survivors = survivors.len();
+    let mut scored = 0usize;
+    let mut pack: Vec<&CorpusItem> = Vec::new();
+    for (kind, cascade) in predicates {
+        if survivors.is_empty() {
+            break;
+        }
+        pack.clear();
+        pack.extend(survivors.iter().map(|&i| items[i]));
+        let passes = eval(kind, cascade, &pack)?;
+        if passes.len() != pack.len() {
+            return Err(CoreError::Window(format!(
+                "eval returned {} decisions for a pack of {}",
+                passes.len(),
+                pack.len()
+            ))
+            .into());
+        }
+        scored += pack.len();
+        let mut w = 0usize;
+        for (k, &pass) in passes.iter().enumerate() {
+            if pass {
+                survivors[w] = survivors[k];
+                w += 1;
+            }
+        }
+        survivors.truncate(w);
+    }
+    Ok(Conjunction {
+        survivors,
+        metadata_survivors,
+        scored,
+    })
 }
 
 /// The §IV level prefix costs of a cascade: an item stopping at level `l`

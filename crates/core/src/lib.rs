@@ -63,8 +63,8 @@ pub use continuous::{ContinuousExecutor, TickDeltas, WindowSpec};
 pub use error::CoreError;
 pub use evaluator::{simulate_all, CascadeOutcomes, CostContext};
 pub use exec::{
-    BatchScorer, ExecOptions, InferDispatch, NnBatchScorer, NnSessionScratch, SharedModelZoo,
-    SharedNnScorer, SurrogateBatchScorer, VectorizedExecutor,
+    evaluate_conjunction, BatchScorer, Conjunction, ExecOptions, InferDispatch, NnSessionScratch,
+    SharedModelZoo, SharedNnScorer, SurrogateBatchScorer, VectorizedExecutor,
 };
 pub use order::{nan_last, nan_lowest};
 pub use pareto::{pareto_frontier, ParetoPoint};

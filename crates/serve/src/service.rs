@@ -4,33 +4,41 @@
 //!
 //! Per query, execution is the planning prefix (cascade selection per
 //! content predicate — served from the [`PlanCache`] on repeat queries)
-//! followed by per-predicate cascade execution through the vectorized
-//! executor. Content predicates run cheapest-first over a progressively
-//! narrowing survivor set: because every scoring backend is deterministic
-//! per (model, item) — the NN path by batch-shape-invariant forced-GEMM
-//! inference — an item pruned by one predicate can never re-enter another,
-//! so narrowing changes cost, never results (the cross-predicate analogue
-//! of the executor's planner-ordered short-circuiting).
+//! followed by one pass of the core conjunction driver
+//! ([`tahoma_core::exec::evaluate_conjunction`]) over the service's
+//! single corpus: the metadata filter runs once, then content predicates
+//! run cheapest-first over a shrinking selection vector of survivor
+//! indices. Because every scoring backend is deterministic per (model,
+//! item) — the NN path by batch-shape-invariant forced-GEMM inference — an
+//! item pruned by one predicate can never re-enter another, so narrowing
+//! changes cost, never results. A metadata-only query is the same pass
+//! with an empty plan.
+//!
+//! Every content predicate's pack, whether from an ad-hoc `QUERY` or a
+//! standing query's `TICK`/`DELTAS`, is scored through one per-kind seam
+//! (`QueryService::score_pack`): the kind's execution thresholds, its
+//! backend, its scratch pool and its coalescing broker. The seam releases
+//! the caller's broker interest in the kind as soon as the pack is scored.
 //!
 //! All mutable per-query state lives in scratch checked out of per-kind
-//! pools; the store, zoos, thresholds, and cost tables are only ever
-//! borrowed shared. Concurrent queries therefore return bitwise-identical
-//! results to a serial run — with or without broker coalescing — which
-//! `tests/concurrency.rs` asserts under load.
+//! pools; the corpus, store, zoos, thresholds, and cost tables are only
+//! ever borrowed shared. Concurrent queries therefore return
+//! bitwise-identical results to a serial run — with or without broker
+//! coalescing — which `tests/concurrency.rs` asserts under load.
 
 use crate::broker::{Broker, BrokerStats};
 use crate::plan_cache::{CachedPlan, PlanCache};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use tahoma_core::evaluator::CostContext;
 use tahoma_core::exec::{
-    ExecOptions, NnSessionScratch, SharedModelZoo, SharedNnScorer, VectorizedExecutor,
+    evaluate_conjunction, NnSessionScratch, SharedModelZoo, SharedNnScorer, VectorizedExecutor,
 };
 use tahoma_core::pipeline::TahomaSystem;
-use tahoma_core::query::{Corpus, CorpusItem, Query, QueryProcessor};
+use tahoma_core::query::{Corpus, CorpusItem, Query};
 use tahoma_core::thresholds::ThresholdTable;
-use tahoma_core::{Cascade, Constraints, SurrogateBatchScorer};
+use tahoma_core::{Cascade, Constraints, CoreError, SurrogateBatchScorer};
 use tahoma_costmodel::AnalyticProfiler;
 use tahoma_imagery::{ObjectKind, RepresentationStore};
 use tahoma_zoo::SurrogateScorer;
@@ -144,6 +152,12 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+impl From<CoreError> for ServeError {
+    fn from(e: CoreError) -> ServeError {
+        ServeError::Exec(e.to_string())
+    }
+}
+
 /// Aggregated service counters (the `STATS` protocol verb).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
@@ -190,7 +204,6 @@ struct KindState {
     /// decision cuts from live score distributions rather than the
     /// surrogate config split); planning always uses the system's table.
     exec_thresholds: Option<ThresholdTable>,
-    corpus: Arc<Corpus>,
     backend: KindBackend,
 }
 
@@ -199,6 +212,9 @@ struct KindState {
 pub struct QueryService {
     profiler: AnalyticProfiler,
     accuracy_loss: f64,
+    /// The one corpus every served kind scores: metadata predicates and
+    /// cross-kind conjunctions see the same items.
+    corpus: Arc<Corpus>,
     kinds: BTreeMap<ObjectKind, KindState>,
     plan_cache: PlanCache,
     queries: AtomicU64,
@@ -231,12 +247,18 @@ impl Drop for InterestGuard {
 }
 
 impl QueryService {
-    /// A service pricing costs with `profiler` and planning every query at
-    /// `accuracy_loss` maximum accuracy loss (the paper's `U_acc`).
-    pub fn new(profiler: AnalyticProfiler, accuracy_loss: f64) -> QueryService {
+    /// A service over `corpus`, pricing costs with `profiler` and planning
+    /// every query at `accuracy_loss` maximum accuracy loss (the paper's
+    /// `U_acc`).
+    pub fn new(
+        profiler: AnalyticProfiler,
+        accuracy_loss: f64,
+        corpus: Arc<Corpus>,
+    ) -> QueryService {
         QueryService {
             profiler,
             accuracy_loss,
+            corpus,
             kinds: BTreeMap::new(),
             plan_cache: PlanCache::new(),
             queries: AtomicU64::new(0),
@@ -250,7 +272,6 @@ impl QueryService {
         kind: ObjectKind,
         system: TahomaSystem,
         scorer: SurrogateScorer,
-        corpus: Arc<Corpus>,
     ) {
         let cost = CostContext::build(&system.repo, &self.profiler);
         self.kinds.insert(
@@ -259,7 +280,6 @@ impl QueryService {
                 system,
                 cost,
                 exec_thresholds: None,
-                corpus,
                 backend: KindBackend::Surrogate(scorer),
             },
         );
@@ -277,7 +297,6 @@ impl QueryService {
         exec_thresholds: Option<ThresholdTable>,
         store: Arc<RepresentationStore>,
         zoo: SharedModelZoo,
-        corpus: Arc<Corpus>,
         window: std::time::Duration,
         max_rows: usize,
     ) {
@@ -293,7 +312,6 @@ impl QueryService {
                 system,
                 cost,
                 exec_thresholds,
-                corpus,
                 backend: KindBackend::Nn(NnBackend {
                     store,
                     zoo,
@@ -310,12 +328,9 @@ impl QueryService {
         self.kinds.keys().copied().collect()
     }
 
-    /// Items in the (first registered kind's) corpus.
+    /// Items in the corpus.
     pub fn corpus_len(&self) -> usize {
-        self.kinds
-            .values()
-            .next()
-            .map_or(0, |st| st.corpus.items.len())
+        self.corpus.items.len()
     }
 
     /// Aggregated counters.
@@ -378,6 +393,16 @@ impl QueryService {
         kinds: &[ObjectKind],
         use_cache: bool,
     ) -> Result<(Arc<CachedPlan>, bool), ServeError> {
+        if kinds.is_empty() {
+            // No content predicate, no cascade to select: an empty plan is
+            // neither cached nor counted as a hit or a miss.
+            return Ok((
+                Arc::new(CachedPlan {
+                    entries: Vec::new(),
+                }),
+                false,
+            ));
+        }
         let acc_milli = (self.accuracy_loss * 1000.0).round() as u32;
         if use_cache {
             if let Some(plan) = self.plan_cache.get(kinds, acc_milli) {
@@ -432,114 +457,27 @@ impl QueryService {
         }
         self.queries.fetch_add(1, Ordering::Relaxed);
         let mut interest = self.register_interest(&query.content, policy.coalesce);
-
-        if query.content.is_empty() {
-            // Metadata-only query: filter any kind's corpus (metadata is
-            // shared across kinds by construction).
-            let corpus = self
-                .kinds
-                .values()
-                .next()
-                .map(|st| Arc::clone(&st.corpus))
-                .unwrap_or_default();
-            let matched: Vec<u64> = corpus
-                .items
-                .iter()
-                .filter(|it| query.metadata.iter().all(|p| p.holds(it)))
-                .map(|it| it.id)
-                .collect();
-            return Ok(ServeOutcome {
-                metadata_survivors: matched.len(),
-                matched_ids: matched,
-                plan_hit: false,
-                degraded: 0,
-            });
-        }
-
-        self.check_deadline(&policy)?;
         let (plan, plan_hit) = self.plan_for(&query.content, policy.use_plan_cache)?;
-        let mut matched: Option<Vec<u64>> = None;
-        let mut survivors = 0usize;
+        let items: Vec<&CorpusItem> = self.corpus.items.iter().collect();
         let mut degraded = 0u64;
-        for (i, (kind, selected)) in plan.entries.iter().enumerate() {
-            // Predicate boundary: the cheapest place to stop a query whose
-            // budget ran out (each entry is one whole cascade execution).
-            self.check_deadline(&policy)?;
-            // Plans only name kinds that were registered, but a cache
-            // shared across reconfiguration could outlive that invariant —
-            // surface a typed error instead of panicking the worker.
-            let st = self
-                .kinds
-                .get(kind)
-                .ok_or_else(|| ServeError::Exec(format!("planned kind {kind:?} is not served")))?;
-            // Progressive narrowing: after the first predicate, only the
-            // current conjunction survivors are classified.
-            let narrowed;
-            let corpus: &Corpus = match &matched {
-                None => &st.corpus,
-                Some(ids) => {
-                    let keep: HashSet<u64> = ids.iter().copied().collect();
-                    narrowed = Corpus {
-                        items: st
-                            .corpus
-                            .items
-                            .iter()
-                            .filter(|it| keep.contains(&it.id))
-                            .cloned()
-                            .collect(),
-                    };
-                    &narrowed
-                }
-            };
-            let single = Query {
-                table: query.table.clone(),
-                metadata: query.metadata.clone(),
-                content: vec![*kind],
-            };
-            let mut cascades: BTreeMap<ObjectKind, Cascade> = BTreeMap::new();
-            cascades.insert(*kind, selected.cascade);
-            let thresholds = st.exec_thresholds.as_ref().unwrap_or(&st.system.thresholds);
-            let processor = QueryProcessor::new(&st.system.repo, thresholds, &st.cost);
-            let opts = ExecOptions {
-                materialize_all: false,
-            };
-            let result = match &st.backend {
-                KindBackend::Surrogate(sc) => {
-                    let mut scorer = SurrogateBatchScorer::new(sc, &st.system.repo);
-                    processor.execute_batched(&single, corpus, &cascades, &mut scorer, &opts)
-                }
-                KindBackend::Nn(nn) => {
-                    let mut scratch = lock(&nn.sessions)
-                        .pop()
-                        .unwrap_or_else(NnSessionScratch::new);
-                    // Scratch pools are shared across queries: the delta
-                    // around this execution is this query's own degraded
-                    // slot count.
-                    let degraded_before = scratch.stats().degraded_fetches;
-                    let result = {
-                        let mut scorer = SharedNnScorer::new(&nn.store, &nn.zoo, &mut scratch);
-                        if policy.coalesce {
-                            scorer = scorer.with_dispatch(&nn.broker);
-                        }
-                        processor.execute_batched(&single, corpus, &cascades, &mut scorer, &opts)
-                    };
-                    degraded += scratch.stats().degraded_fetches - degraded_before;
-                    lock(&nn.sessions).push(scratch);
-                    result
-                }
-            }
-            .map_err(|e| ServeError::Exec(e.to_string()))?;
-            interest.release(*kind);
-            if i == 0 {
-                survivors = result.metadata_survivors;
-            }
-            // The narrowed corpus already restricts to prior survivors, so
-            // this predicate's matches ARE the running intersection.
-            matched = Some(result.matched_ids);
-        }
+        let conj = evaluate_conjunction(
+            &query.metadata,
+            plan.entries.iter().map(|(kind, sel)| (*kind, sel.cascade)),
+            &items,
+            |kind, cascade, pack| -> Result<Vec<bool>, ServeError> {
+                // Predicate boundary: the cheapest place to stop a query
+                // whose budget ran out (each pack is one whole cascade
+                // execution).
+                self.check_deadline(&policy)?;
+                let (passes, d) =
+                    self.score_pack(kind, cascade, pack, policy.coalesce, &mut interest)?;
+                degraded += d;
+                Ok(passes)
+            },
+        )?;
         Ok(ServeOutcome {
-            matched_ids: matched.unwrap_or_default(),
-            metadata_survivors: survivors,
+            matched_ids: conj.survivors.iter().map(|&i| items[i].id).collect(),
+            metadata_survivors: conj.metadata_survivors,
             plan_hit,
             degraded,
         })
@@ -578,26 +516,33 @@ impl QueryService {
         interest
     }
 
-    /// Score one pack through `kind`'s backend and return one pass flag
-    /// per pack item. This is the continuous executor's evaluation seam:
-    /// a standing query's tick routes each content predicate here, so
-    /// entrant packs run through exactly the machinery ad-hoc queries use
-    /// — same thresholds, same scratch pool, same coalescing broker —
-    /// which is what makes incremental window results comparable to a
-    /// `QUERY` over the same items.
-    pub(crate) fn eval_kind_pack(
+    /// Score one pack through `kind`'s backend: the one per-kind scoring
+    /// seam every content predicate goes through — an ad-hoc query's plan
+    /// entries and a standing query's entrant (or rescan) packs alike — so
+    /// both run on the same thresholds, scratch pool and coalescing broker,
+    /// and incremental window results are comparable to a `QUERY` over the
+    /// same items. Returns one pass flag per pack item plus the pack slots
+    /// this call served through the quarantine degradation path.
+    ///
+    /// Once the pack is scored the caller's `interest` in `kind` is
+    /// released, so a broker leader for this kind stops waiting for a pack
+    /// the caller will no longer send (releasing an already-released kind
+    /// is a no-op).
+    pub(crate) fn score_pack(
         &self,
         kind: ObjectKind,
         cascade: Cascade,
         pack: &[&CorpusItem],
         coalesce: bool,
-    ) -> Result<Vec<bool>, ServeError> {
+        interest: &mut InterestGuard,
+    ) -> Result<(Vec<bool>, u64), ServeError> {
         let st = self
             .kinds
             .get(&kind)
             .ok_or(ServeError::UnservedKind(kind))?;
         let thresholds = st.exec_thresholds.as_ref().unwrap_or(&st.system.thresholds);
         let exec = VectorizedExecutor::new(&st.system.repo, thresholds, &st.cost);
+        let mut degraded = 0u64;
         let rel = match &st.backend {
             KindBackend::Surrogate(sc) => {
                 let mut scorer = SurrogateBatchScorer::new(sc, &st.system.repo);
@@ -607,6 +552,10 @@ impl QueryService {
                 let mut scratch = lock(&nn.sessions)
                     .pop()
                     .unwrap_or_else(NnSessionScratch::new);
+                // Scratch pools are shared across queries: the delta
+                // around this execution is this call's own degraded slot
+                // count.
+                let degraded_before = scratch.stats().degraded_fetches;
                 let rel = {
                     let mut scorer = SharedNnScorer::new(&nn.store, &nn.zoo, &mut scratch);
                     if coalesce {
@@ -614,12 +563,13 @@ impl QueryService {
                     }
                     exec.run_cascade_batched(kind, cascade, pack, &mut scorer)
                 };
+                degraded = scratch.stats().degraded_fetches - degraded_before;
                 lock(&nn.sessions).push(scratch);
                 rel
             }
-        }
-        .map_err(|e| ServeError::Exec(e.to_string()))?;
-        Ok(rel.rows.iter().map(|r| r.value).collect())
+        }?;
+        interest.release(kind);
+        Ok((rel.rows.iter().map(|r| r.value).collect(), degraded))
     }
 
     /// The shared representation store behind `kind`'s NN backend, if any

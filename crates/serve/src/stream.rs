@@ -13,11 +13,13 @@
 //!    traffic reads, so a standing query's NN cascades score the stored
 //!    representations, not the raw frames;
 //! 3. the window slides one `STEP` and only the entrants are scored,
-//!    routed through `QueryService::eval_kind_pack` — the identical
-//!    backend path ad-hoc queries use (per-kind thresholds, scratch
-//!    pool, coalescing broker), so entrant packs from a tick can merge
-//!    with concurrent ad-hoc packs into one batched GEMM call (§IV's
-//!    batch pricing, across query classes).
+//!    through the core conjunction driver and the service's per-kind
+//!    scoring seam (`QueryService::score_pack`) — the identical path
+//!    ad-hoc queries use (per-kind thresholds, scratch pool, coalescing
+//!    broker), so entrant packs from a tick can merge with concurrent
+//!    ad-hoc packs into one batched GEMM call (§IV's batch pricing,
+//!    across query classes). Each kind's broker interest is released as
+//!    soon as its pack is scored.
 //!
 //! `DELTAS` reports the standing query's cumulative state and runs a
 //! from-scratch window rescan through the same path; `agree=yes` on the
@@ -34,7 +36,7 @@
 
 use crate::protocol::fnv1a64;
 use crate::service::{QueryService, ServeError};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -208,13 +210,12 @@ impl StreamRegistry {
         let mut kinds = query.content.clone();
         kinds.sort_unstable();
         kinds.dedup();
-        let mut cascades = BTreeMap::new();
-        if !kinds.is_empty() {
-            let (plan, _) = service.plan_for(&query.content, true)?;
-            for (kind, selected) in &plan.entries {
-                cascades.insert(*kind, selected.cascade);
-            }
-        }
+        let (plan, _) = service.plan_for(&query.content, true)?;
+        let cascades = plan
+            .entries
+            .iter()
+            .map(|(kind, selected)| (*kind, selected.cascade))
+            .collect();
         let qid = self.next_qid.fetch_add(1, Ordering::Relaxed);
         // Each registration gets its own deterministic stream instance:
         // same registry seed + same registration order = same frames.
@@ -293,7 +294,7 @@ impl StreamRegistry {
                 "standing query {qid} is DEGRADED ({reason}); window frozen, re-REGISTER to recover"
             )));
         }
-        let _interest = service.register_interest(&st.kinds, true);
+        let mut interest = service.register_interest(&st.kinds, true);
         let need = (st.cx.ticks() + 1) * st.cx.window().step();
         while st.cx.arrived() < need {
             let arriving = match st.pending_frame.take() {
@@ -323,7 +324,8 @@ impl StreamRegistry {
                         return Err(CoreError::Window(format!("injected tick fault: {e}")));
                     }
                     service
-                        .eval_kind_pack(kind, cascade, pack, true)
+                        .score_pack(kind, cascade, pack, true, &mut interest)
+                        .map(|(passes, _)| passes)
                         .map_err(|e| CoreError::Window(e.to_string()))
                 })
             }));
@@ -357,7 +359,7 @@ impl StreamRegistry {
     pub fn status(&self, service: &QueryService, qid: u64) -> Result<StreamStatus, ServeError> {
         let sq = self.get(qid)?;
         let st = lock(&sq.window);
-        let _interest = service.register_interest(&st.kinds, true);
+        let mut interest = service.register_interest(&st.kinds, true);
         let matched = st.cx.matched();
         // A quarantined query skips the rescan (the backend that failed
         // its ticks would likely fail it too) and reports itself
@@ -369,7 +371,8 @@ impl StreamRegistry {
                 .cx
                 .rescan(|kind, cascade, pack| {
                     service
-                        .eval_kind_pack(kind, cascade, pack, true)
+                        .score_pack(kind, cascade, pack, true, &mut interest)
+                        .map(|(passes, _)| passes)
                         .map_err(|e| CoreError::Window(e.to_string()))
                 })
                 .map_err(|e| ServeError::Exec(e.to_string()))?;

@@ -132,10 +132,12 @@ fn vectorized_executor_serves_real_models_end_to_end() {
     // ingest real raster frames into a representation store, and serve a
     // content query through the vectorized executor's NN backend — store
     // fetch → pooled decode → (transcode when the exact representation is
-    // not stored) → standardize → `infer_batch` → thresholds.
+    // not stored) → standardize → batched inference → thresholds.
     use std::collections::BTreeMap;
     use tahoma::core::evaluator::CostContext;
-    use tahoma::core::exec::{BatchScorer, ExecOptions, NnBatchScorer};
+    use tahoma::core::exec::{
+        BatchScorer, ExecOptions, NnSessionScratch, SharedModelZoo, SharedNnScorer,
+    };
     use tahoma::core::thresholds::{DecisionThresholds, ThresholdTable};
     use tahoma::core::VectorizedExecutor;
     use tahoma::imagery::RepresentationStore;
@@ -166,7 +168,7 @@ fn vectorized_executor_serves_real_models_end_to_end() {
         early_stop_loss: 0.08,
         seed: 5,
     };
-    let (repo, _outcomes, mut models) =
+    let (repo, _outcomes, models) =
         build_real_repository_keeping_models(&bundle, &variants, &cfg, &DeviceProfile::k80())
             .unwrap();
     let thresholds = tahoma::core::thresholds::calibrate_all(&repo, &[0.93]);
@@ -208,21 +210,29 @@ fn vectorized_executor_serves_real_models_end_to_end() {
         .position(|e| e.variant.input == rep_rgb)
         .unwrap() as u16;
 
+    let mut zoo = SharedModelZoo::new().with_source(source_rep);
+    zoo.register_repository(&repo, models);
+    let mut scratch = NnSessionScratch::new();
+
     // Construction identity: a batch through the scorer equals manual
-    // fetch → standardize → `predict_proba_batch` packing, exactly.
+    // fetch → standardize packing scored by the zoo's single inference
+    // entry point, exactly.
     let mut input = Vec::new();
     let mut engine = tahoma::imagery::TranscodeEngine::new();
     for it in &corpus.items {
         let img = store.fetch(it.id, rep_gray, &mut engine).unwrap().unwrap();
         input.extend_from_slice(tahoma::imagery::transform::standardize(&img).data());
     }
-    let expected = models[gray_model as usize].predict_proba_batch(&input, corpus.items.len());
+    let expected = zoo.infer(
+        ModelId(gray_model as u32),
+        &input,
+        corpus.items.len(),
+        &mut tahoma::nn::InferScratch::coalescing(),
+    );
 
-    let mut scorer = NnBatchScorer::new(&store).with_source(source_rep);
-    scorer.register_repository(&repo, models);
     let items: Vec<&tahoma::core::query::CorpusItem> = corpus.items.iter().collect();
     let mut got = Vec::new();
-    scorer.score_batch(
+    SharedNnScorer::new(&store, &zoo, &mut scratch).score_batch(
         ModelId(gray_model as u32),
         tahoma::core::exec::ScorePack::standalone(&items),
         &mut got,
@@ -231,10 +241,9 @@ fn vectorized_executor_serves_real_models_end_to_end() {
 
     // End-to-end query: gray level via direct fetch, RGB terminal via the
     // transcode fallback. (Executor-vs-reference decision identity is
-    // property-tested with batch-size-invariant scorers in
-    // exec_proptests.rs; NN scores can differ in final-ulp rounding across
-    // GEMM batch shapes, so here we assert the end-to-end semantics.)
-    scorer.reset_stats();
+    // property-tested in exec_proptests.rs; here we assert the end-to-end
+    // semantics.)
+    scratch.reset_stats();
     let cascade = Cascade::new(&[(gray_model, 0), (rgb_model, 0)]);
     let mut cascades = BTreeMap::new();
     cascades.insert(kind, cascade);
@@ -245,7 +254,7 @@ fn vectorized_executor_serves_real_models_end_to_end() {
             &query,
             &corpus,
             &cascades,
-            &mut scorer,
+            &mut SharedNnScorer::new(&store, &zoo, &mut scratch),
             &ExecOptions::default(),
         )
         .unwrap();
@@ -260,7 +269,7 @@ fn vectorized_executor_serves_real_models_end_to_end() {
         "real-NN relation accuracy {} at chance",
         rel.accuracy
     );
-    let stats = scorer.stats();
+    let stats = scratch.stats();
     assert!(stats.fetch_decode_s > 0.0 && stats.infer_s > 0.0 && stats.standardize_s > 0.0);
     assert!(
         stats.items_scored >= corpus.items.len() as u64,
@@ -281,13 +290,18 @@ fn vectorized_executor_serves_real_models_end_to_end() {
         per_model: vec![vec![DecisionThresholds::never_decide()]; repo.len()],
     };
     let executor = VectorizedExecutor::new(&repo, &never, &cost);
-    scorer.reset_stats();
+    scratch.reset_stats();
     let shared = Cascade::new(&[(gray_model, 0), (gray_model, 0)]);
     let rel2 = executor
-        .run_cascade_batched(kind, shared, &items, &mut scorer)
+        .run_cascade_batched(
+            kind,
+            shared,
+            &items,
+            &mut SharedNnScorer::new(&store, &zoo, &mut scratch),
+        )
         .unwrap();
     assert_eq!(rel2.rows.len(), items.len());
-    let stats2 = scorer.stats();
+    let stats2 = scratch.stats();
     assert_eq!(
         stats2.cache_hits,
         items.len() as u64,
